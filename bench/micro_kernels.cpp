@@ -128,10 +128,10 @@ void assignSweepBench(benchmark::State& state, bool reference, int threads) {
     core::Settings s;
     s.referenceAssignment = reference;
     s.threads = threads;
-    core::AssignEngine<DIM> engine(pts, {}, s, k);
     std::vector<std::size_t> order(static_cast<std::size_t>(n));
     std::iota(order.begin(), order.end(), std::size_t{0});
-    engine.setActive(order, order.size());
+    core::AssignEngine<DIM> engine(pts, {}, std::move(order), s, k);
+    engine.setActive(static_cast<std::size_t>(n));
     std::vector<double> sizes(static_cast<std::size_t>(k), 0.0);
     for (auto _ : state) {
         engine.resetBounds();

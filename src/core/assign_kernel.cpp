@@ -33,27 +33,34 @@ static_assert(kAssignBlock == PointStore<2>::kTilePoints &&
 template <int D>
 AssignEngine<D>::AssignEngine(std::span<const Point<D>> points,
                               std::span<const double> weights,
-                              const Settings& settings, std::int32_t k)
-    : points_(points),
-      weights_(weights),
-      settings_(settings),
+                              std::vector<std::size_t> order, const Settings& settings,
+                              std::int32_t k)
+    : settings_(settings),
       k_(k),
-      store_(points, weights, settings.resolvedMemoryBudget()) {
+      store_(points, weights, std::move(order), settings.resolvedMemoryBudget()) {
     GEO_REQUIRE(k_ >= 1, "need at least one center");
-    GEO_REQUIRE(weights_.empty() || weights_.size() == points_.size(),
-                "weights must be empty or match points");
-    assignment_.assign(points_.size(), -1);
-    ub_.assign(points_.size(), kInf);
-    lb_.assign(points_.size(), 0.0);
-    epoch_.assign(points_.size(), 0);
+    const std::size_t n = store_.order().size();
+    GEO_REQUIRE(n == points.size(), "order must have one slot per point");
+    assignment_.assign(n, -1);
+    ub_.assign(n, kInf);
+    lb_.assign(n, 0.0);
+    epoch_.assign(n, 0);
     scratch_.resize(static_cast<std::size_t>(settings_.resolvedThreads()));
 }
 
 template <int D>
-void AssignEngine<D>::setActive(std::span<const std::size_t> order,
-                                std::size_t activeCount) {
-    store_.setActive(order, activeCount, settings_.resolvedThreads());
+void AssignEngine<D>::setActive(std::size_t activeCount) {
+    store_.setActive(activeCount, settings_.resolvedThreads());
     recordStoreCounters();
+}
+
+template <int D>
+std::vector<std::int32_t> AssignEngine<D>::assignment() const {
+    const auto order = store_.order();
+    std::vector<std::int32_t> byPoint(order.size(), -1);
+    for (std::size_t slot = 0; slot < order.size(); ++slot)
+        byPoint[order[slot]] = assignment_[slot];
+    return byPoint;
 }
 
 /// Surface the store's accounting through KMeansCounters. The store totals
@@ -165,7 +172,6 @@ void AssignEngine<D>::updateCenters(std::span<double> sums) {
         (std::min(store_.wavePoints(), active) + kAssignBlock - 1) / kAssignBlock;
     blockSums_.resize(waveBlocks * stride);
     const int threads = settings_.resolvedThreads();
-    const std::size_t* ids = store_.ids().data();
     // Same wave-then-block left fold as sweep(): bitwise identical at every
     // budget and thread count.
     for (std::size_t w = 0; w < store_.waveCount(); ++w) {
@@ -178,9 +184,9 @@ void AssignEngine<D>::updateCenters(std::span<double> sums) {
                     std::fill(partial, partial + stride, 0.0);
                     const std::size_t j0 = b * kAssignBlock;
                     const std::size_t j1 = std::min(wave.count, j0 + kAssignBlock);
+                    const std::int32_t* assign = &assignment_[wave.begin];
                     for (std::size_t j = j0; j < j1; ++j) {
-                        const auto c = static_cast<std::size_t>(
-                            assignment_[ids[wave.begin + j]]);
+                        const auto c = static_cast<std::size_t>(assign[j]);
                         const double weight = wave.weight[j];
                         double* row = partial + c * (D + 1);
                         for (int d = 0; d < D; ++d)
@@ -202,56 +208,70 @@ void AssignEngine<D>::processBlock(const typename PointStore<D>::WaveView& wave,
                                    double* blockSizes) {
     const std::size_t j0 = block * kAssignBlock;
     const std::size_t j1 = std::min(wave.count, j0 + kAssignBlock);
-    const std::size_t* ids = store_.ids().data();
-    scratch.pointIdx.clear();
-    for (int d = 0; d < D; ++d) scratch.gx[static_cast<std::size_t>(d)].clear();
+    if (scratch.slot.size() < kAssignBlock) {
+        scratch.slot.resize(kAssignBlock);
+        for (auto& g : scratch.gx) g.resize(kAssignBlock);
+    }
 
-    const bool reference = settings_.referenceAssignment;
+    // The per-slot state runs in lockstep with the wave's tile arrays:
+    // entry j of the wave is slot wave.begin + j.
+    std::size_t lanes = 0;
+    std::uint64_t skips = 0;
     for (std::size_t j = j0; j < j1; ++j) {
-        const std::size_t p = ids[wave.begin + j];
-        scratch.counters.pointEvaluations++;
-        if (settings_.hamerlyBounds && assignment_[p] >= 0) {
-            applyEpochs(p, scratch.counters);
-            if (ub_[p] < lb_[p]) {
-                scratch.counters.boundSkips++;  // membership provably unchanged
+        const std::size_t slot = wave.begin + j;
+        if (settings_.hamerlyBounds && assignment_[slot] >= 0) {
+            applyEpochs(slot, scratch.counters);
+            if (ub_[slot] < lb_[slot]) {
+                ++skips;  // membership provably unchanged
                 continue;
             }
         }
-        scratch.pointIdx.push_back(p);
-        if (!reference && !settings_.useKdTree)
-            for (int d = 0; d < D; ++d)
-                scratch.gx[static_cast<std::size_t>(d)].push_back(
-                    wave.x[static_cast<std::size_t>(d)][j]);
+        scratch.slot[lanes] = slot;
+        for (int d = 0; d < D; ++d)
+            scratch.gx[static_cast<std::size_t>(d)][lanes] =
+                wave.x[static_cast<std::size_t>(d)][j];
+        ++lanes;
     }
+    scratch.counters.pointEvaluations += j1 - j0;
+    scratch.counters.boundSkips += skips;
 
-    if (!scratch.pointIdx.empty()) {
-        if (reference) {
-            for (const std::size_t p : scratch.pointIdx)
-                assignPointReference(p, scratch.counters);
-        } else if (settings_.useKdTree) {
-            const std::uint32_t cur = currentEpoch();
-            for (const std::size_t p : scratch.pointIdx) {
-                const auto q = tree_.queryNearestIds(points_[p]);
-                assignment_[p] = q.best;
-                const auto bc = static_cast<std::size_t>(q.best);
-                ub_[p] = distance(points_[p], centers_[bc]) / influence_[bc];
-                if (q.second >= 0) {
-                    const auto sc = static_cast<std::size_t>(q.second);
-                    lb_[p] = distance(points_[p], centers_[sc]) / influence_[sc];
-                } else {
-                    lb_[p] = kInf;
-                }
-                epoch_[p] = cur;
+    if (settings_.referenceAssignment) {
+        for (std::size_t j = 0; j < lanes; ++j)
+            assignPointReference(scratch.slot[j], lanePoint(scratch, j), scratch.counters);
+    } else if (settings_.useKdTree) {
+        const std::uint32_t cur = currentEpoch();
+        for (std::size_t j = 0; j < lanes; ++j) {
+            const std::size_t slot = scratch.slot[j];
+            const Point<D> pt = lanePoint(scratch, j);
+            const auto q = tree_.queryNearestIds(pt);
+            assignment_[slot] = q.best;
+            const auto bc = static_cast<std::size_t>(q.best);
+            ub_[slot] = distance(pt, centers_[bc]) / influence_[bc];
+            if (q.second >= 0) {
+                const auto sc = static_cast<std::size_t>(q.second);
+                lb_[slot] = distance(pt, centers_[sc]) / influence_[sc];
+            } else {
+                lb_[slot] = kInf;
             }
-        } else {
-            batchKernel(scratch, scratch.pointIdx.size());
+            epoch_[slot] = cur;
         }
+    } else if (lanes > 0) {
+        batchKernel(scratch, lanes);
     }
 
     // Per-block weighted sizes, accumulated in slot order within the block.
     for (std::int32_t c = 0; c < k_; ++c) blockSizes[c] = 0.0;
-    for (std::size_t j = j0; j < j1; ++j)
-        blockSizes[assignment_[ids[wave.begin + j]]] += wave.weight[j];
+    const std::int32_t* assign = &assignment_[wave.begin];
+    for (std::size_t j = j0; j < j1; ++j) blockSizes[assign[j]] += wave.weight[j];
+}
+
+/// Lane j's coordinates as a point — the same doubles the store mirrored,
+/// so distance() on it is bitwise the distance on the caller's point.
+template <int D>
+Point<D> AssignEngine<D>::lanePoint(const Scratch& scratch, std::size_t j) const noexcept {
+    Point<D> pt;
+    for (int d = 0; d < D; ++d) pt[d] = scratch.gx[static_cast<std::size_t>(d)][j];
+    return pt;
 }
 
 namespace {
@@ -282,18 +302,19 @@ void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
     // across modes (the only sqrts on the fast path — at most two per
     // assigned point).
     const auto materialize = [&](std::size_t j) {
-        const std::size_t p = scratch.pointIdx[j];
+        const std::size_t slot = scratch.slot[j];
+        const Point<D> pt = lanePoint(scratch, j);
         const auto bc = static_cast<std::int32_t>(scratch.bestC[j]);
         GEO_CHECK(bc >= 0, "assignment found no center");
-        assignment_[p] = bc;
-        ub_[p] = distance(points_[p], centers_[static_cast<std::size_t>(bc)]) /
-                 influence_[static_cast<std::size_t>(bc)];
+        assignment_[slot] = bc;
+        ub_[slot] = distance(pt, centers_[static_cast<std::size_t>(bc)]) /
+                    influence_[static_cast<std::size_t>(bc)];
         const auto sc = static_cast<std::int32_t>(scratch.secondC[j]);
-        lb_[p] = sc >= 0
-                     ? distance(points_[p], centers_[static_cast<std::size_t>(sc)]) /
-                           influence_[static_cast<std::size_t>(sc)]
-                     : kInf;
-        epoch_[p] = cur;
+        lb_[slot] = sc >= 0
+                        ? distance(pt, centers_[static_cast<std::size_t>(sc)]) /
+                              influence_[static_cast<std::size_t>(sc)]
+                        : kInf;
+        epoch_[slot] = cur;
     };
 
     std::size_t live = m;
@@ -388,7 +409,7 @@ void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
                     continue;
                 }
                 if (w != j) {
-                    scratch.pointIdx[w] = scratch.pointIdx[j];
+                    scratch.slot[w] = scratch.slot[j];
                     for (int d = 0; d < D; ++d)
                         scratch.gx[static_cast<std::size_t>(d)][w] =
                             scratch.gx[static_cast<std::size_t>(d)][j];
@@ -408,19 +429,19 @@ void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
 /// The seed implementation's inner loop, verbatim: per-candidate sqrt in
 /// the effective-distance domain with the per-point pruning break.
 template <int D>
-void AssignEngine<D>::assignPointReference(std::size_t p, KMeansCounters& counters) {
+void AssignEngine<D>::assignPointReference(std::size_t slot, const Point<D>& pt,
+                                           KMeansCounters& counters) {
     const std::uint32_t cur = currentEpoch();
     if (settings_.useKdTree) {
-        const auto q = tree_.query(points_[p]);
-        assignment_[p] = q.best;
-        ub_[p] = q.bestDistance;
-        lb_[p] = q.secondDistance;
-        epoch_[p] = cur;
+        const auto q = tree_.query(pt);
+        assignment_[slot] = q.best;
+        ub_[slot] = q.bestDistance;
+        lb_[slot] = q.secondDistance;
+        epoch_[slot] = cur;
         return;
     }
     double best = kInf, second = kInf;
     std::int32_t bestC = -1;
-    const Point<D>& pt = points_[p];
     for (std::size_t ci = 0; ci < sortedCenters_.size(); ++ci) {
         const std::int32_t c = sortedCenters_[ci];
         if (keysValid_ && centerKey_[static_cast<std::size_t>(c)] > second) {
@@ -439,19 +460,19 @@ void AssignEngine<D>::assignPointReference(std::size_t p, KMeansCounters& counte
         }
     }
     GEO_CHECK(bestC >= 0, "assignment found no center");
-    assignment_[p] = bestC;
-    ub_[p] = best;
-    lb_[p] = second;
-    epoch_[p] = cur;
+    assignment_[slot] = bestC;
+    ub_[slot] = best;
+    lb_[slot] = second;
+    epoch_[slot] = cur;
 }
 
 template <int D>
-void AssignEngine<D>::applyEpochs(std::size_t p, KMeansCounters& counters) {
+void AssignEngine<D>::applyEpochs(std::size_t slot, KMeansCounters& counters) {
     const std::uint32_t cur = currentEpoch();
-    std::uint32_t e = epoch_[p];
+    std::uint32_t e = epoch_[slot];
     if (e == cur) return;
-    const auto c = static_cast<std::size_t>(assignment_[p]);
-    double ub = ub_[p], lb = lb_[p];
+    const auto c = static_cast<std::size_t>(assignment_[slot]);
+    double ub = ub_[slot], lb = lb_[slot];
     counters.epochBoundApplications += cur - e;
     for (; e < cur; ++e) {
         const Epoch& ep = epochs_[e];
@@ -463,9 +484,9 @@ void AssignEngine<D>::applyEpochs(std::size_t p, KMeansCounters& counters) {
             lb *= ep.minRatio;
         }
     }
-    ub_[p] = ub;
-    lb_[p] = lb;
-    epoch_[p] = cur;
+    ub_[slot] = ub;
+    lb_[slot] = lb;
+    epoch_[slot] = cur;
 }
 
 template <int D>

@@ -21,18 +21,26 @@
 //      win for sampled initialization and warm-started repartitioning.
 //      Sequential replay applies the identical multiply/add per round the
 //      eager sweeps performed, so bound values are bitwise unchanged.
-//   3. Budgeted SoA mirror (core::PointStore) + cache-blocked batch kernel.
-//      setActive() hands the active order to a PointStore, which mirrors
-//      the points into per-dimension tile arrays under the byte budget of
+//   3. Slot-ordered state over a budgeted SoA mirror (core::PointStore) +
+//      cache-blocked batch kernel. The sampling order is fixed at
+//      construction and the active set is always a growing prefix of it,
+//      so every per-point array (assignment, ub, lb, epoch) is indexed by
+//      *slot* — the position in that order — not by point id. The skip
+//      test, the per-block sizes and the center update stream contiguous
+//      arrays in lockstep with the store's tiles; only assignment()
+//      scatters back to point order, once per run. The store
+//      mirrors coordinates and weights under the byte budget of
 //      Settings::memoryBudgetBytes / GEO_MEM_BUDGET: unlimited keeps the
-//      whole set resident (one gather per setActive, as before); a finite
-//      budget materializes budget-sized waves of fixed 1024-point tiles,
-//      regenerated from the caller's points on every pass. The sweep walks
-//      the waves in order, each wave's fixed 1024-point blocks in parallel,
-//      gathers the not-skipped points of each block into contiguous
-//      scratch, and runs an auto-vectorizable centers-outer / points-inner
-//      kernel with branchless best/second tracking. Weighted cluster sizes
-//      are accumulated per block and reduced in block order.
+//      whole set resident and gathers each slot once per run, when it
+//      first becomes active; a finite budget materializes budget-sized
+//      waves of fixed 1024-point tiles, regenerated from the caller's
+//      points on every pass. The sweep walks the waves in order, each
+//      wave's fixed 1024-point blocks in parallel, gathers the not-skipped
+//      slots of each block into contiguous scratch, and runs an
+//      auto-vectorizable centers-outer / points-inner kernel with
+//      branchless best/second tracking; ub/lb are materialized from the
+//      gathered lane coordinates. Weighted cluster sizes are accumulated
+//      per block and reduced in block order.
 //   4. Intra-rank threading (Settings::threads; the old name assignThreads
 //      survives as a deprecated alias) via par::parallelFor over whole
 //      blocks. Because block (and wave) boundaries are fixed and the block
@@ -65,17 +73,19 @@ template <int D>
 class AssignEngine {
 public:
     /// `points`/`weights` must outlive the engine (weights may be empty =
-    /// unit). `k` is the number of clusters.
+    /// unit). `order` is a permutation of the point ids, fixed for the
+    /// engine's lifetime: slot j is point order[j], and the active set is
+    /// always the prefix of slots [0, activeCount). `k` is the number of
+    /// clusters.
     AssignEngine(std::span<const Point<D>> points, std::span<const double> weights,
-                 const Settings& settings, std::int32_t k);
+                 std::vector<std::size_t> order, const Settings& settings,
+                 std::int32_t k);
 
-    /// Declare the active prefix order[0..activeCount) — the PointStore
-    /// recomputes the active bounding box and (budget permitting) mirrors
-    /// the points. Called once per assignAndBalance (the active set only
-    /// changes between calls). `order` is referenced, not copied: a
-    /// budgeted store regenerates tiles from it on every sweep, so it must
-    /// stay valid and unchanged until the next setActive.
-    void setActive(std::span<const std::size_t> order, std::size_t activeCount);
+    /// Grow the active prefix to slots [0, activeCount) — never shrinks.
+    /// The PointStore extends the active bounding box and (budget
+    /// permitting) mirrors the newly active points. Called once per
+    /// assignAndBalance (the active set only changes between calls).
+    void setActive(std::size_t activeCount);
 
     /// Bounding box of the active points (invalid when none are active).
     [[nodiscard]] const Box<D>& activeBox() const noexcept {
@@ -114,12 +124,10 @@ public:
     /// Forget all bounds (ub = ∞, lb = 0) and mark every point current.
     void resetBounds();
 
-    [[nodiscard]] std::span<const std::int32_t> assignment() const noexcept {
-        return assignment_;
-    }
-    [[nodiscard]] std::vector<std::int32_t> takeAssignment() noexcept {
-        return std::move(assignment_);
-    }
+    /// Cluster per point id (-1 while never active): the slot-ordered state
+    /// scattered back through the order — one O(n) pass, meant for the end
+    /// of a run, not for the hot loop.
+    [[nodiscard]] std::vector<std::int32_t> assignment() const;
     [[nodiscard]] const KMeansCounters& counters() const noexcept { return counters_; }
 
 private:
@@ -135,7 +143,7 @@ private:
     /// are tracked as doubles inside the batch kernel so every lane of the
     /// select has one width (vectorizer-friendly); materialization narrows.
     struct Scratch {
-        std::vector<std::size_t> pointIdx;  ///< global point id per gathered slot
+        std::vector<std::size_t> slot;  ///< active slot per gathered lane
         std::array<std::vector<double>, static_cast<std::size_t>(D)> gx;
         std::vector<double> best2, second2, bestC, secondC;
         KMeansCounters counters;
@@ -145,25 +153,25 @@ private:
                       std::size_t block, Scratch& scratch, double* blockSizes);
     void batchKernel(Scratch& scratch, std::size_t m);
     void recordStoreCounters();
-    void assignPointReference(std::size_t p, KMeansCounters& counters);
-    void applyEpochs(std::size_t p, KMeansCounters& counters);
+    [[nodiscard]] Point<D> lanePoint(const Scratch& scratch, std::size_t j) const noexcept;
+    void assignPointReference(std::size_t slot, const Point<D>& pt,
+                              KMeansCounters& counters);
+    void applyEpochs(std::size_t slot, KMeansCounters& counters);
     [[nodiscard]] std::uint32_t currentEpoch() const noexcept {
         return static_cast<std::uint32_t>(epochs_.size());
     }
 
-    std::span<const Point<D>> points_;
-    std::span<const double> weights_;
     const Settings& settings_;
     std::int32_t k_;
 
-    // Persistent per-point state (indexed by global point id).
+    // Persistent per-point state, indexed by active slot (order position).
     std::vector<std::int32_t> assignment_;
     std::vector<double> ub_, lb_;
     std::vector<std::uint32_t> epoch_;
     std::vector<Epoch> epochs_;
 
     // Budgeted active-set mirror: the shared tiled point representation
-    // (coords + weights in fixed tiles, active order, bounding box).
+    // (coords + weights in fixed tiles, the slot order, bounding box).
     PointStore<D> store_;
 
     // Round state.

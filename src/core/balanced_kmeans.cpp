@@ -17,6 +17,19 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// The engine's slot order: identity, or — for the sampled initialization —
+/// a random local permutation whose growing prefix is the sample.
+std::vector<std::size_t> samplingOrder(std::size_t n, const Settings& settings, int rank) {
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    if (settings.sampledInitialization) {
+        Xoshiro256 rng(settings.seed ^
+                       (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(rank + 1)));
+        for (std::size_t i = n; i > 1; --i) std::swap(order[i - 1], order[rng.below(i)]);
+    }
+    return order;
+}
+
 template <int D>
 class BalancedKMeansRun {
 public:
@@ -29,7 +42,8 @@ public:
           settings_(settings),
           k_(static_cast<std::int32_t>(centers.size())),
           centers_(std::move(centers)),
-          engine_(points_, weights_, settings_, k_) {
+          engine_(points_, weights_, samplingOrder(points_.size(), settings_, comm_.rank()),
+                  settings_, k_) {
         GEO_REQUIRE(k_ >= 1, "need at least one center");
         GEO_REQUIRE(weights_.empty() || weights_.size() == points_.size(),
                     "weights must be empty or match points");
@@ -74,19 +88,11 @@ public:
         influenceBefore_.resize(ks);
         freshCenters_.resize(ks);
 
-        // Random local permutation for the sampled initialization.
-        order_.resize(n);
-        std::iota(order_.begin(), order_.end(), std::size_t{0});
-        if (settings_.sampledInitialization) {
-            Xoshiro256 rng(settings_.seed ^
-                           (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(comm_.rank() + 1)));
-            for (std::size_t i = n; i > 1; --i)
-                std::swap(order_[i - 1], order_[rng.below(i)]);
-            sampleSize_ = std::min<std::size_t>(
-                static_cast<std::size_t>(std::max(1, settings_.initialSampleSize)), n);
-        } else {
-            sampleSize_ = n;
-        }
+        sampleSize_ = settings_.sampledInitialization
+                          ? std::min<std::size_t>(
+                                static_cast<std::size_t>(std::max(1, settings_.initialSampleSize)),
+                                n)
+                          : n;
 
         // Scale for the convergence threshold: expected cluster radius.
         Box<D> bb = Box<D>::around(points_);
@@ -190,7 +196,7 @@ public:
         }
 
         counters_.merge(engine_.counters());
-        out.assignment = engine_.takeAssignment();
+        out.assignment = engine_.assignment();
         out.centers = std::move(centers_);
         out.influence = std::move(influence_);
         out.assignmentInfluence = std::move(lastSweepInfluence_);
@@ -207,9 +213,10 @@ private:
     /// until balance or maxBalanceIterations. Returns achieved imbalance.
     double assignAndBalance() {
         const Timer assignTimer;
-        // Mirror the *active* local points into the engine's SoA arrays and
-        // compute their bounding box (§4.4) — once per call, like the seed.
-        engine_.setActive(order_, sampleSize_);
+        // Grow the engine's active prefix to the current sample: the store
+        // mirrors only the newly sampled points and extends their bounding
+        // box (§4.4) by them.
+        engine_.setActive(sampleSize_);
 
         double imb = kInf;
         for (int round = 0; round < settings_.maxBalanceIterations; ++round) {
@@ -284,7 +291,6 @@ private:
     std::vector<Point<D>> centers_;
     std::vector<double> influence_;
     AssignEngine<D> engine_;
-    std::vector<std::size_t> order_;
     std::size_t sampleSize_ = 0;
     Box<D> globalBox_ = Box<D>::empty();
     double clusterScale_ = 1.0;

@@ -9,31 +9,33 @@ namespace geo::core {
 
 template <int D>
 PointStore<D>::PointStore(std::span<const Point<D>> points,
-                          std::span<const double> weights, std::uint64_t budgetBytes)
-    : points_(points), weights_(weights), budget_(budgetBytes) {
+                          std::span<const double> weights, std::vector<std::size_t> order,
+                          std::uint64_t budgetBytes)
+    : points_(points), weights_(weights), budget_(budgetBytes), order_(std::move(order)) {
     GEO_REQUIRE(weights_.empty() || weights_.size() == points_.size(),
                 "weights must be empty or match points");
+    GEO_REQUIRE(std::all_of(order_.begin(), order_.end(),
+                            [&](std::size_t p) { return p < points_.size(); }),
+                "order entries must index points");
 }
 
 template <int D>
-void PointStore<D>::setActive(std::span<const std::size_t> order,
-                              std::size_t activeCount, int threads) {
-    GEO_REQUIRE(activeCount <= order.size() && activeCount <= points_.size(),
-                "active count exceeds available points");
-    order_ = order.first(activeCount);
+void PointStore<D>::setActive(std::size_t activeCount, int threads) {
+    GEO_REQUIRE(activeCount <= order_.size(), "active count exceeds the order");
+    GEO_REQUIRE(activeCount >= active_, "the active prefix only grows");
+    const std::size_t before = active_;
     active_ = activeCount;
 
-    // Active bounding box: per-worker partial boxes merged serially — box
-    // merge is exact coordinate min/max, so the result is thread-count
-    // independent.
-    box_ = Box<D>::empty();
-    if (active_ > 0) {
+    // Extend the active box by the newly active slots: per-worker partial
+    // boxes merged serially. Box merge is exact coordinate min/max, so the
+    // result equals the box of the whole prefix at any thread count.
+    if (active_ > before) {
         std::vector<Box<D>> partial(static_cast<std::size_t>(std::max(1, threads)),
                                     Box<D>::empty());
-        par::parallelFor(threads, active_,
+        par::parallelFor(threads, active_ - before,
                          [&](std::size_t i0, std::size_t i1, int worker) {
                              Box<D> bb = Box<D>::empty();
-                             for (std::size_t i = i0; i < i1; ++i)
+                             for (std::size_t i = before + i0; i < before + i1; ++i)
                                  bb.extend(points_[order_[i]]);
                              partial[static_cast<std::size_t>(worker)] = bb;
                          });
@@ -43,7 +45,9 @@ void PointStore<D>::setActive(std::span<const std::size_t> order,
 
     // Wave geometry: whole set resident when it fits the budget; otherwise
     // budget-sized waves rounded down to whole tiles (clamped up to one
-    // tile, so a sub-tile budget still makes progress).
+    // tile, so a sub-tile budget still makes progress). Residency is
+    // monotone in the prefix length, so a resident store was resident at
+    // every earlier setActive too and already holds slots [0, before).
     resident_ = budget_ == 0 || budget_ >= kBytesPerPoint * active_;
     if (resident_) {
         wavePoints_ = active_;
@@ -54,8 +58,6 @@ void PointStore<D>::setActive(std::span<const std::size_t> order,
     waveCount_ = active_ == 0 || wavePoints_ == 0
                      ? 0
                      : (active_ + wavePoints_ - 1) / wavePoints_;
-    loadedWave_ = kNoWave;
-    waveFilled_.assign(waveCount_, 0);
 
     const std::size_t capacity = std::min(wavePoints_, active_);
     for (int d = 0; d < D; ++d) sx_[static_cast<std::size_t>(d)].resize(capacity);
@@ -63,11 +65,15 @@ void PointStore<D>::setActive(std::span<const std::size_t> order,
     acc_.residentBytes = kBytesPerPoint * capacity;
     acc_.peakResidentBytes = std::max(acc_.peakResidentBytes, acc_.residentBytes);
 
-    if (resident_ && active_ > 0) {
-        fill(0, active_, threads);
-        acc_.tileFills += (active_ + kTilePoints - 1) / kTilePoints;
-        waveFilled_[0] = 1;
-        loadedWave_ = 0;
+    if (resident_) {
+        const auto tiles = [](std::size_t n) { return (n + kTilePoints - 1) / kTilePoints; };
+        fill(0, before, active_, threads);
+        acc_.tileFills += tiles(active_) - tiles(before);
+        waveFilled_.assign(waveCount_, 1);
+        loadedWave_ = waveCount_ > 0 ? 0 : kNoWave;
+    } else {
+        waveFilled_.assign(waveCount_, 0);
+        loadedWave_ = kNoWave;
     }
 }
 
@@ -77,7 +83,7 @@ typename PointStore<D>::WaveView PointStore<D>::wave(std::size_t w, int threads)
     const std::size_t begin = w * wavePoints_;
     const std::size_t count = std::min(active_ - begin, wavePoints_);
     if (loadedWave_ != w) {
-        fill(begin, count, threads);
+        fill(begin, begin, begin + count, threads);
         const std::uint64_t tiles = (count + kTilePoints - 1) / kTilePoints;
         acc_.tileFills += tiles;
         if (waveFilled_[w] != 0) acc_.spilledTiles += tiles;
@@ -94,11 +100,14 @@ typename PointStore<D>::WaveView PointStore<D>::wave(std::size_t w, int threads)
 }
 
 template <int D>
-void PointStore<D>::fill(std::size_t begin, std::size_t count, int threads) {
-    par::parallelFor(threads, count, [&](std::size_t j0, std::size_t j1, int) {
-        for (std::size_t j = j0; j < j1; ++j) {
-            const std::size_t p = order_[begin + j];
+void PointStore<D>::fill(std::size_t base, std::size_t begin, std::size_t end,
+                         int threads) {
+    if (end <= begin) return;
+    par::parallelFor(threads, end - begin, [&](std::size_t i0, std::size_t i1, int) {
+        for (std::size_t slot = begin + i0; slot < begin + i1; ++slot) {
+            const std::size_t p = order_[slot];
             const Point<D>& pt = points_[p];
+            const std::size_t j = slot - base;
             for (int d = 0; d < D; ++d) sx_[static_cast<std::size_t>(d)][j] = pt[d];
             sw_[j] = weights_.empty() ? 1.0 : weights_[p];
         }

@@ -7,14 +7,16 @@
 // algorithm — are the memory wall. A PointStore materializes the active
 // set in fixed 1024-point tiles grouped into budget-sized *waves*:
 //
-//   * budget = 0 (unlimited): one wave holds the whole active set,
-//     gathered once per setActive — exactly the pre-budget behavior.
+//   * budget = 0 (unlimited): one wave holds the whole active set. The
+//     order is fixed at construction and the active prefix only grows, so
+//     each slot is gathered (and folded into the active box) exactly once
+//     per run — setActive gathers only the slots it newly activates.
 //   * budget > 0: a wave holds floor(budget / bytesPerPoint) points,
 //     rounded down to a whole number of tiles (clamped up to one tile —
 //     a budget smaller than one tile still makes progress). Each sweep
 //     walks the waves in order; requesting a wave regenerates it from the
-//     caller's points/weights via the active order (an O(wave) gather),
-//     so only one wave's storage is ever allocated.
+//     caller's points/weights via the order (an O(wave) gather), so only
+//     one wave's storage is ever allocated.
 //
 // Determinism contract (DESIGN.md "Memory model & tiling"): wave
 // boundaries are multiples of the tile size, which equals the assignment
@@ -25,7 +27,8 @@
 // identical to the resident path at every budget and thread count.
 //
 // Accounting: residentBytes (tile storage currently allocated),
-// peakResidentBytes (its high-water mark), tileFills (every tile gather)
+// peakResidentBytes (its high-water mark), tileFills (tiles gathered; a
+// resident store counts each tile once, when its first slot activates)
 // and spilledTiles (refills beyond each tile's first fill — the price of
 // running under budget). The engine surfaces these through KMeansCounters.
 #pragma once
@@ -52,21 +55,20 @@ public:
     static constexpr std::uint64_t kBytesPerPoint = (D + 1) * sizeof(double);
 
     /// `points`/`weights` must outlive the store (weights may be empty =
-    /// unit). `budgetBytes` = 0 means unlimited.
+    /// unit). `order` is the slot order for the store's whole lifetime:
+    /// slot j mirrors point order[j]; every entry must index `points`.
+    /// `budgetBytes` = 0 means unlimited.
     PointStore(std::span<const Point<D>> points, std::span<const double> weights,
-               std::uint64_t budgetBytes);
+               std::vector<std::size_t> order, std::uint64_t budgetBytes);
 
-    /// Declare the active prefix order[0..activeCount): recompute the
-    /// active bounding box, the wave geometry, and (when the budget allows
-    /// residency) gather the whole set once. Unlike the pre-store engine,
-    /// `order` is referenced, not copied — a chunked store regenerates
-    /// waves from it on every pass, so it must stay valid and unchanged
-    /// until the next setActive.
-    void setActive(std::span<const std::size_t> order, std::size_t activeCount,
-                   int threads);
+    /// Grow the active prefix to slots [0, activeCount) — it never shrinks.
+    /// Extends the active bounding box by the new slots, recomputes the
+    /// wave geometry, and, while the whole prefix fits the budget, gathers
+    /// only the newly active slots into the resident wave.
+    void setActive(std::size_t activeCount, int threads);
 
-    /// The active order this store gathers through (what setActive kept).
-    [[nodiscard]] std::span<const std::size_t> ids() const noexcept { return order_; }
+    /// The slot order fixed at construction: slot j holds point order()[j].
+    [[nodiscard]] std::span<const std::size_t> order() const noexcept { return order_; }
     [[nodiscard]] std::size_t activeCount() const noexcept { return active_; }
     [[nodiscard]] const Box<D>& activeBox() const noexcept { return box_; }
 
@@ -80,8 +82,8 @@ public:
     [[nodiscard]] std::size_t wavePoints() const noexcept { return wavePoints_; }
     [[nodiscard]] std::size_t waveCount() const noexcept { return waveCount_; }
 
-    /// One materialized wave: slot j holds active index begin + j, i.e.
-    /// point order[begin + j]. Pointers stay valid until the next wave()
+    /// One materialized wave: entry j holds slot begin + j, i.e. point
+    /// order()[begin + j]. Pointers stay valid until the next wave()
     /// or setActive call.
     struct WaveView {
         std::size_t begin = 0;  ///< first active slot; multiple of kTilePoints
@@ -103,13 +105,14 @@ public:
     [[nodiscard]] const Accounting& accounting() const noexcept { return acc_; }
 
 private:
-    void fill(std::size_t begin, std::size_t count, int threads);
+    /// Gather slots [begin, end) into the tile arrays at index slot - base.
+    void fill(std::size_t base, std::size_t begin, std::size_t end, int threads);
 
     std::span<const Point<D>> points_;
     std::span<const double> weights_;
     std::uint64_t budget_ = 0;
 
-    std::span<const std::size_t> order_;
+    std::vector<std::size_t> order_;
     std::size_t active_ = 0;
     Box<D> box_ = Box<D>::empty();
 

@@ -50,21 +50,29 @@ RunStats runSim(int ranks, const CostModel& model,
                     body(comm);
                 } catch (...) {
                     errors[static_cast<std::size_t>(r)] = std::current_exception();
-                    // A crashed rank must not deadlock the others; the
-                    // barrier would wait forever. Terminating the run with
-                    // the stored exception is handled after join, but we
-                    // must release peers: abort the whole run instead of
-                    // hanging. Simplest safe policy: keep participating in
-                    // barriers is impossible, so rethrow after join relies
-                    // on the body not crashing mid-collective in tests.
+                    // This rank will never reach another barrier: release
+                    // the peers waiting in (or heading into) a collective.
+                    shared.barrier.abort();
                 }
                 cpuSeconds[static_cast<std::size_t>(r)] =
                     detail::threadCpuSeconds() - cpu0;
             });
         }
         for (auto& t : threads) t.join();
-        for (auto& e : errors)
-            if (e) std::rethrow_exception(e);
+        // Rethrow the failure that started the abort (lowest rank first),
+        // not the BarrierAborted its peers unwound with.
+        std::exception_ptr aborted;
+        for (auto& e : errors) {
+            if (!e) continue;
+            try {
+                std::rethrow_exception(e);
+            } catch (const detail::BarrierAborted&) {
+                aborted = e;
+            } catch (...) {
+                throw;
+            }
+        }
+        if (aborted) std::rethrow_exception(aborted);
     }
 
     RunStats out;

@@ -20,6 +20,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <stdexcept>
 #include <vector>
 
 #include "par/transport/transport.hpp"
@@ -28,23 +29,40 @@ namespace geo::par {
 
 namespace detail {
 
+/// Thrown out of Barrier::arriveAndWait on the ranks that are released by
+/// abort() — a peer failed, so this rank's collective can never complete.
+struct BarrierAborted : std::runtime_error {
+    BarrierAborted() : std::runtime_error("simulated run aborted: a peer rank failed") {}
+};
+
 /// Central sense-reversing barrier (condition-variable based, so waiting
 /// ranks release the core — essential when simulating many ranks on few
-/// cores).
+/// cores). Abortable: a rank that fails calls abort(), which wakes every
+/// waiter and makes every later arrival throw BarrierAborted, so the
+/// surviving ranks unwind instead of waiting for a rank that never comes.
 class Barrier {
 public:
     explicit Barrier(int parties) : parties_(parties) {}
 
     void arriveAndWait() {
         std::unique_lock lock(mutex_);
+        if (aborted_) throw BarrierAborted();
         const std::uint64_t gen = generation_;
         if (++arrived_ == parties_) {
             arrived_ = 0;
             ++generation_;
             cv_.notify_all();
         } else {
-            cv_.wait(lock, [&] { return generation_ != gen; });
+            cv_.wait(lock, [&] { return generation_ != gen || aborted_; });
+            // A generation completed before the abort still counts.
+            if (generation_ == gen) throw BarrierAborted();
         }
+    }
+
+    void abort() {
+        const std::lock_guard lock(mutex_);
+        aborted_ = true;
+        cv_.notify_all();
     }
 
 private:
@@ -53,6 +71,7 @@ private:
     int parties_;
     int arrived_ = 0;
     std::uint64_t generation_ = 0;
+    bool aborted_ = false;
 };
 
 }  // namespace detail

@@ -37,6 +37,15 @@ std::vector<std::size_t> identityOrder(std::size_t n) {
     return order;
 }
 
+/// A random permutation: slot j != point j almost everywhere, so any mix-up
+/// of slot-indexed and point-indexed state shows.
+std::vector<std::size_t> shuffledOrder(std::size_t n, std::uint64_t seed) {
+    auto order = identityOrder(n);
+    Xoshiro256 rng(seed);
+    for (std::size_t i = n; i > 1; --i) std::swap(order[i - 1], order[rng.below(i)]);
+    return order;
+}
+
 /// Brute-force argmin of the effective distance.
 template <int D>
 std::int32_t nearestCenter(const Point<D>& p, const std::vector<Point<D>>& centers,
@@ -72,23 +81,22 @@ TEST(AssignEngine, StaleKeysAreNotConsultedWhenBoxIsInvalid) {
         s.referenceAssignment = reference;
         s.boundingBoxPruning = true;
         s.hamerlyBounds = true;
-        AssignEngine<2> engine(points, {}, s, 3);
+        AssignEngine<2> engine(points, {}, {0, 1}, s, 3);
         std::vector<double> sizes(3, 0.0);
 
         // Round 1: only p0 active; its box is far from every center, so the
         // pruning keys are all large (key for center 2 ≈ 95).
-        const std::vector<std::size_t> round1{0};
-        engine.setActive(round1, 1);
+        engine.setActive(1);
         engine.beginRound(centers, influence, engine.activeBox());
         engine.sweep(sizes);
 
-        // Round 2: only p1 active, but the caller supplies an *invalid* box
-        // (the state of a rank with no active points). With stale keys the
-        // identity-order scan would compute centers 0 and 1 (eff dist 5 and
-        // 4.9), see stale key[2] ≈ 95 > second ≈ 5 and break — wrongly
-        // assigning p1 to center 1. Fresh guard: no keys, full scan.
-        const std::vector<std::size_t> round2{1};
-        engine.setActive(round2, 1);
+        // Round 2: the prefix grows to p1, but the caller supplies an
+        // *invalid* box (the state of a rank with no active points). p0's
+        // bounds (ub 95 < lb 99.9) skip it; p1 is scanned fresh. With stale
+        // keys the identity-order scan would compute centers 0 and 1 (eff
+        // dist 5 and 4.9), see stale key[2] ≈ 95 > second ≈ 5 and break —
+        // wrongly assigning p1 to center 1. Fresh guard: no keys, full scan.
+        engine.setActive(2);
         engine.beginRound(centers, influence, Box2::empty());
         engine.sweep(sizes);
         EXPECT_EQ(engine.assignment()[1], 2)
@@ -96,36 +104,89 @@ TEST(AssignEngine, StaleKeysAreNotConsultedWhenBoxIsInvalid) {
     }
 }
 
-class EngineModeSweep : public ::testing::TestWithParam<std::tuple<bool, bool, int>> {};
+/// The last parameter runs the sweep through a shuffled order under a
+/// memory budget of one tile (four waves), with fractional weights.
+class EngineModeSweep
+    : public ::testing::TestWithParam<std::tuple<bool, bool, int, bool>> {};
 INSTANTIATE_TEST_SUITE_P(
     Modes, EngineModeSweep,
-    ::testing::Combine(::testing::Bool(),          // referenceAssignment
-                       ::testing::Bool(),          // useKdTree
-                       ::testing::Values(1, 3)));  // threads
+    ::testing::Combine(::testing::Bool(),         // referenceAssignment
+                       ::testing::Bool(),         // useKdTree
+                       ::testing::Values(1, 3),   // threads
+                       ::testing::Bool()));       // shuffled order, tight budget
 
 TEST_P(EngineModeSweep, SingleSweepMatchesBruteForce) {
-    const auto [reference, kdTree, threads] = GetParam();
+    const auto [reference, kdTree, threads, shuffled] = GetParam();
     const auto points = randomPoints<2>(4000, 211);
     const auto centers = randomPoints<2>(23, 223);
     Xoshiro256 rng(227);
     std::vector<double> influence;
     for (std::size_t c = 0; c < centers.size(); ++c)
         influence.push_back(rng.uniform(0.5, 2.0));
+    std::vector<double> weights;
+    if (shuffled)
+        for (std::size_t p = 0; p < points.size(); ++p)
+            weights.push_back(rng.uniform(0.1, 3.0));
     Settings s;
     s.referenceAssignment = reference;
     s.useKdTree = kdTree;
     s.threads = threads;
-    AssignEngine<2> engine(points, {}, s, 23);
-    const auto order = identityOrder(points.size());
-    engine.setActive(order, points.size());
+    if (shuffled) s.memoryBudgetBytes = 1024 * 3 * sizeof(double);
+    AssignEngine<2> engine(points, weights,
+                           shuffled ? shuffledOrder(points.size(), 229)
+                                    : identityOrder(points.size()),
+                           s, 23);
+    engine.setActive(points.size());
     engine.beginRound(centers, influence, engine.activeBox());
     std::vector<double> sizes(23, 0.0);
     engine.sweep(sizes);
-    for (std::size_t p = 0; p < points.size(); ++p)
-        ASSERT_EQ(engine.assignment()[p], nearestCenter(points[p], centers, influence))
-            << "point " << p;
-    EXPECT_EQ(std::accumulate(sizes.begin(), sizes.end(), 0.0),
-              static_cast<double>(points.size()));
+
+    // Assignment by point id against brute force; sizes and center-update
+    // sums against the same per-point reduction (different association,
+    // hence the tolerance).
+    const auto assign = engine.assignment();
+    std::vector<double> wantSizes(23, 0.0), wantSums(23 * 3, 0.0);
+    for (std::size_t p = 0; p < points.size(); ++p) {
+        const std::int32_t c = nearestCenter(points[p], centers, influence);
+        ASSERT_EQ(assign[p], c) << "point " << p;
+        const double w = weights.empty() ? 1.0 : weights[p];
+        const auto ci = static_cast<std::size_t>(c);
+        wantSizes[ci] += w;
+        wantSums[ci * 3 + 0] += w * points[p][0];
+        wantSums[ci * 3 + 1] += w * points[p][1];
+        wantSums[ci * 3 + 2] += w;
+    }
+    std::vector<double> sums(23 * 3, 0.0);
+    engine.updateCenters(sums);
+    for (std::size_t c = 0; c < 23; ++c) EXPECT_NEAR(sizes[c], wantSizes[c], 1e-9);
+    for (std::size_t i = 0; i < sums.size(); ++i) EXPECT_NEAR(sums[i], wantSums[i], 1e-9);
+}
+
+TEST(AssignEngine, GrowingShuffledPrefixMatchesBruteForce) {
+    // The sampled-initialization access pattern: a fixed shuffled order
+    // whose active prefix grows between sweeps, under a tight budget.
+    const auto points = randomPoints<2>(3000, 307);
+    const auto centers = randomPoints<2>(9, 311);
+    const std::vector<double> influence(9, 1.0);
+    const auto order = shuffledOrder(points.size(), 313);
+    Settings s;
+    s.memoryBudgetBytes = 1024 * 3 * sizeof(double);
+    AssignEngine<2> engine(points, {}, order, s, 9);
+    std::vector<double> sizes(9, 0.0);
+    for (const std::size_t active : {std::size_t{100}, std::size_t{1500}, points.size()}) {
+        engine.setActive(active);
+        engine.beginRound(centers, influence, engine.activeBox());
+        engine.sweep(sizes);
+        EXPECT_EQ(std::accumulate(sizes.begin(), sizes.end(), 0.0),
+                  static_cast<double>(active));
+        const auto assign = engine.assignment();
+        for (std::size_t j = 0; j < points.size(); ++j) {
+            const std::size_t p = order[j];
+            const std::int32_t want =
+                j < active ? nearestCenter(points[p], centers, influence) : -1;
+            ASSERT_EQ(assign[p], want) << "active " << active << " slot " << j;
+        }
+    }
 }
 
 TEST(AssignEngine, LazyEpochBoundsSkipButNeverMisassign) {
@@ -133,9 +194,8 @@ TEST(AssignEngine, LazyEpochBoundsSkipButNeverMisassign) {
     auto centers = randomPoints<2>(12, 233);
     std::vector<double> influence(12, 1.0);
     Settings s;
-    AssignEngine<2> engine(points, {}, s, 12);
-    const auto order = identityOrder(points.size());
-    engine.setActive(order, points.size());
+    AssignEngine<2> engine(points, {}, identityOrder(points.size()), s, 12);
+    engine.setActive(points.size());
     std::vector<double> sizes(12, 0.0);
     engine.beginRound(centers, influence, engine.activeBox());
     engine.sweep(sizes);
@@ -155,9 +215,9 @@ TEST(AssignEngine, LazyEpochBoundsSkipButNeverMisassign) {
         engine.pushInfluenceEpoch(ratio);
         engine.beginRound(centers, influence, engine.activeBox());
         engine.sweep(sizes);
+        const auto assign = engine.assignment();
         for (std::size_t p = 0; p < points.size(); ++p)
-            ASSERT_EQ(engine.assignment()[p],
-                      nearestCenter(points[p], centers, influence))
+            ASSERT_EQ(assign[p], nearestCenter(points[p], centers, influence))
                 << "step " << step << " point " << p;
     }
     EXPECT_GT(engine.counters().boundSkips, 0u);
@@ -173,9 +233,8 @@ TEST(AssignEngine, MoveEpochKeepsBoundsConservative) {
     auto centers = randomPoints<2>(10, 251);
     std::vector<double> influence(10, 1.0);
     Settings s;
-    AssignEngine<2> engine(points, {}, s, 10);
-    const auto order = identityOrder(points.size());
-    engine.setActive(order, points.size());
+    AssignEngine<2> engine(points, {}, identityOrder(points.size()), s, 10);
+    engine.setActive(points.size());
     std::vector<double> sizes(10, 0.0);
     engine.beginRound(centers, influence, engine.activeBox());
     engine.sweep(sizes);
@@ -198,8 +257,9 @@ TEST(AssignEngine, MoveEpochKeepsBoundsConservative) {
     engine.pushMoveEpoch(ratio, shift);
     engine.beginRound(centers, influence, engine.activeBox());
     engine.sweep(sizes);
+    const auto assign = engine.assignment();
     for (std::size_t p = 0; p < points.size(); ++p)
-        ASSERT_EQ(engine.assignment()[p], nearestCenter(points[p], centers, influence))
+        ASSERT_EQ(assign[p], nearestCenter(points[p], centers, influence))
             << "point " << p;
 }
 
@@ -219,13 +279,12 @@ TEST(AssignEngine, ThreadCountNeverChangesSizesBitwise) {
     for (const int threads : {1, 2, 3, 4}) {
         Settings s;
         s.threads = threads;
-        AssignEngine<2> engine(points, weights, s, 16);
-        const auto order = identityOrder(points.size());
-    engine.setActive(order, points.size());
+        AssignEngine<2> engine(points, weights, identityOrder(points.size()), s, 16);
+        engine.setActive(points.size());
         engine.beginRound(centers, influence, engine.activeBox());
         std::vector<double> sizes(16, 0.0);
         engine.sweep(sizes);
-        const auto assign = engine.takeAssignment();
+        const auto assign = engine.assignment();
         if (threads == 1) {
             want = sizes;
             wantAssign = assign;
@@ -241,9 +300,8 @@ TEST(AssignEngine, ZeroActivePointsIsANoop) {
     const auto centers = randomPoints<2>(3, 281);
     const std::vector<double> influence(3, 1.0);
     Settings s;
-    AssignEngine<2> engine(points, {}, s, 3);
-    const auto order = identityOrder(points.size());
-    engine.setActive(order, 0);
+    AssignEngine<2> engine(points, {}, identityOrder(points.size()), s, 3);
+    engine.setActive(0);
     EXPECT_FALSE(engine.activeBox().valid());
     engine.beginRound(centers, influence, engine.activeBox());
     std::vector<double> sizes(3, 1.0);
@@ -258,9 +316,8 @@ TEST(AssignEngine, BatchKernelCountsBatchedDistances) {
     for (const bool reference : {false, true}) {
         Settings s;
         s.referenceAssignment = reference;
-        AssignEngine<2> engine(points, {}, s, 8);
-        const auto order = identityOrder(points.size());
-    engine.setActive(order, points.size());
+        AssignEngine<2> engine(points, {}, identityOrder(points.size()), s, 8);
+        engine.setActive(points.size());
         engine.beginRound(centers, influence, engine.activeBox());
         std::vector<double> sizes(8, 0.0);
         engine.sweep(sizes);

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "par/comm.hpp"
@@ -179,6 +180,26 @@ TEST(Machine, PropagatesBodyExceptions) {
     geo::par::Machine machine(1);
     EXPECT_THROW(machine.run([](Comm&) { throw std::runtime_error("rank failure"); }),
                  std::runtime_error);
+}
+
+TEST(Machine, ThrowingRankReleasesPeersAndRethrowsItsException) {
+    // Rank 1 fails before a collective the other ranks enter: they must be
+    // released from the barrier, and the run must surface rank 1's own
+    // exception rather than the abort its peers unwound with.
+    geo::par::Machine machine(4);
+    std::atomic<int> entered{0};
+    try {
+        (void)machine.run([&](Comm& comm) {
+            if (comm.rank() == 1) throw std::logic_error("rank 1 failed");
+            ++entered;
+            (void)comm.allreduceSum(1.0);
+            ADD_FAILURE() << "rank " << comm.rank() << " completed a collective";
+        });
+        FAIL() << "the run did not throw";
+    } catch (const std::logic_error& e) {
+        EXPECT_STREQ(e.what(), "rank 1 failed");
+    }
+    EXPECT_EQ(entered.load(), 3);
 }
 
 TEST(Machine, RejectsNonPositiveRankCount) {

@@ -81,12 +81,12 @@ TEST(ParseMemBytes, PlainAndSuffixedValues) {
 }
 
 TEST(ParseMemBytes, RejectsGarbageAndOverflow) {
-    EXPECT_THROW(parseMemBytes(""), std::invalid_argument);
-    EXPECT_THROW(parseMemBytes("abc"), std::invalid_argument);
-    EXPECT_THROW(parseMemBytes("12x"), std::invalid_argument);
-    EXPECT_THROW(parseMemBytes("-5"), std::invalid_argument);
-    EXPECT_THROW(parseMemBytes("k"), std::invalid_argument);
-    EXPECT_THROW(parseMemBytes("99999999999999999999g"), std::invalid_argument);
+    EXPECT_THROW((void)parseMemBytes(""), std::invalid_argument);
+    EXPECT_THROW((void)parseMemBytes("abc"), std::invalid_argument);
+    EXPECT_THROW((void)parseMemBytes("12x"), std::invalid_argument);
+    EXPECT_THROW((void)parseMemBytes("-5"), std::invalid_argument);
+    EXPECT_THROW((void)parseMemBytes("k"), std::invalid_argument);
+    EXPECT_THROW((void)parseMemBytes("99999999999999999999g"), std::invalid_argument);
 }
 
 TEST(MemoryBudget, SettingsFieldWinsOverEnvironment) {
@@ -106,7 +106,7 @@ TEST(MemoryBudget, UnsetEnvironmentMeansUnlimited) {
 TEST(MemoryBudget, UnparseableEnvironmentThrows) {
     const ScopedBudgetEnv env("lots");
     Settings s;
-    EXPECT_THROW(s.resolvedMemoryBudget(), std::invalid_argument);
+    EXPECT_THROW((void)s.resolvedMemoryBudget(), std::invalid_argument);
     // Deliberately uncached: fixing the variable fixes the resolution.
     setenv("GEO_MEM_BUDGET", "8k", 1);
     EXPECT_EQ(s.resolvedMemoryBudget(), 8192u);
@@ -131,8 +131,8 @@ protected:
 };
 
 TEST_F(PointStoreFixture, UnlimitedBudgetIsResidentInOneWave) {
-    PointStore<2> store(points_, weights_, /*budgetBytes=*/0);
-    store.setActive(order_, points_.size(), 2);
+    PointStore<2> store(points_, weights_, order_, /*budgetBytes=*/0);
+    store.setActive(points_.size(), 2);
     EXPECT_TRUE(store.resident());
     EXPECT_EQ(store.waveCount(), 1u);
     EXPECT_EQ(store.wavePoints(), points_.size());
@@ -141,8 +141,8 @@ TEST_F(PointStoreFixture, UnlimitedBudgetIsResidentInOneWave) {
 
 TEST_F(PointStoreFixture, TightBudgetChunksIntoTileAlignedWaves) {
     // 2D: 24 bytes/point. 32768 bytes -> 1365 points -> one whole tile.
-    PointStore<2> store(points_, weights_, 32768);
-    store.setActive(order_, points_.size(), 2);
+    PointStore<2> store(points_, weights_, order_, 32768);
+    store.setActive(points_.size(), 2);
     EXPECT_FALSE(store.resident());
     EXPECT_EQ(store.wavePoints(), PointStore<2>::kTilePoints);
     EXPECT_EQ(store.waveCount(),
@@ -153,8 +153,8 @@ TEST_F(PointStoreFixture, TightBudgetChunksIntoTileAlignedWaves) {
 }
 
 TEST_F(PointStoreFixture, BudgetSmallerThanOneTileClampsUp) {
-    PointStore<2> store(points_, weights_, /*budgetBytes=*/1);
-    store.setActive(order_, points_.size(), 1);
+    PointStore<2> store(points_, weights_, order_, /*budgetBytes=*/1);
+    store.setActive(points_.size(), 1);
     EXPECT_FALSE(store.resident());
     EXPECT_EQ(store.wavePoints(), PointStore<2>::kTilePoints);
 }
@@ -163,8 +163,8 @@ TEST_F(PointStoreFixture, WavesGatherTheActiveOrderExactly) {
     // A non-identity order (reversed) through a chunked store: every wave
     // slot j must hold point order[begin + j] and its weight.
     std::vector<std::size_t> reversed(order_.rbegin(), order_.rend());
-    PointStore<2> store(points_, weights_, 49152);  // 2048-point waves
-    store.setActive(reversed, points_.size(), 3);
+    PointStore<2> store(points_, weights_, reversed, 49152);  // 2048-point waves
+    store.setActive(points_.size(), 3);
     ASSERT_GT(store.waveCount(), 1u);
     for (std::size_t w = 0; w < store.waveCount(); ++w) {
         const auto view = store.wave(w, 3);
@@ -179,8 +179,8 @@ TEST_F(PointStoreFixture, WavesGatherTheActiveOrderExactly) {
 }
 
 TEST_F(PointStoreFixture, SpilledTilesCountRefillsOnly) {
-    PointStore<2> store(points_, weights_, 49152);
-    store.setActive(order_, points_.size(), 1);
+    PointStore<2> store(points_, weights_, order_, 49152);
+    store.setActive(points_.size(), 1);
     const std::size_t waves = store.waveCount();
     ASSERT_GT(waves, 1u);
     // First full pass: every tile gathered once, nothing is a refill yet.
@@ -193,6 +193,38 @@ TEST_F(PointStoreFixture, SpilledTilesCountRefillsOnly) {
     const auto spills = store.accounting().spilledTiles;
     (void)store.wave(waves - 1, 1);
     EXPECT_EQ(store.accounting().spilledTiles, spills);
+}
+
+TEST_F(PointStoreFixture, GrowingResidentPrefixGathersEachTileOnce) {
+    // A shuffled order whose active prefix doubles from 100 slots to all of
+    // them, as the sampled k-means initialization grows it: the resident
+    // store gathers only newly active slots, so every tile is filled once
+    // per run, and every slot j still mirrors point order[j].
+    std::vector<std::size_t> shuffled = order_;
+    Xoshiro256 rng(73);
+    for (std::size_t i = shuffled.size(); i > 1; --i)
+        std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+    PointStore<2> store(points_, weights_, shuffled, /*budgetBytes=*/0);
+    const std::size_t n = points_.size();
+    geo::Box2 want = geo::Box2::empty();
+    for (std::size_t active = 100;; active = std::min(n, 2 * active)) {
+        store.setActive(active, 3);
+        ASSERT_TRUE(store.resident());
+        for (std::size_t j = 0; j < active; ++j) want.extend(points_[shuffled[j]]);
+        EXPECT_EQ(store.activeBox().lo, want.lo) << "active " << active;
+        EXPECT_EQ(store.activeBox().hi, want.hi) << "active " << active;
+        if (active == n) break;
+    }
+    EXPECT_EQ(store.accounting().tileFills,
+              (n + PointStore<2>::kTilePoints - 1) / PointStore<2>::kTilePoints);
+    const auto view = store.wave(0, 3);
+    ASSERT_EQ(view.count, n);
+    for (std::size_t j = 0; j < n; ++j) {
+        const std::size_t p = shuffled[j];
+        ASSERT_EQ(view.x[0][j], points_[p][0]) << "slot " << j;
+        ASSERT_EQ(view.x[1][j], points_[p][1]) << "slot " << j;
+        ASSERT_EQ(view.weight[j], weights_[p]) << "slot " << j;
+    }
 }
 
 /// The tentpole assertion: identical bits with and without a budget.
