@@ -10,6 +10,7 @@
 #include "baseline/hsfc.hpp"
 #include "baseline/multijagged.hpp"
 #include "baseline/rcb.hpp"
+#include "core/argmin_kernel.hpp"
 #include "core/assign_kernel.hpp"
 #include "core/balanced_kmeans.hpp"
 #include "geometry/box.hpp"
@@ -97,8 +98,8 @@ BENCHMARK(BM_BalancedKMeans_NoBounds)->Arg(1 << 14);
 // Assignment-sweep kernels (core/assign_kernel): one full sweep of the
 // active points against k = 64 centers, bounds reset each iteration so every
 // point is (re)assigned. "Reference" is the seed implementation's scalar
-// sqrt-domain loop; "Fast" the squared-domain SoA batch kernel; the T2/T4
-// variants add intra-rank threads. Both modes produce bitwise-identical
+// sqrt-domain loop; "Fast" the squared-domain argmin kernel at the
+// dispatched ISA; the T2/T4 variants add intra-rank threads. Both modes produce bitwise-identical
 // assignments (tests/test_kmeans.cpp equivalence suite).
 // ---------------------------------------------------------------------------
 
@@ -170,6 +171,29 @@ BENCHMARK(BM_AssignSweep3D_Reference)->Arg(1 << 17)->Arg(1 << 20);
 BENCHMARK(BM_AssignSweep3D_Fast)->Arg(1 << 17)->Arg(1 << 20);
 BENCHMARK(BM_AssignSweep3D_FastT2)->Arg(1 << 20);
 BENCHMARK(BM_AssignSweep3D_FastT4)->Arg(1 << 20);
+
+// The fast sweep pinned to each argmin kernel variant (second argument:
+// 0 scalar, 1 SSE2, 2 AVX2, 3 AVX-512F; the label names it). Variants the
+// CPU lacks are skipped. Median of 5 repetitions.
+template <int DIM>
+void assignSweepIsaBench(benchmark::State& state) {
+    const auto isa = static_cast<core::argmin::Isa>(state.range(1));
+    if (!core::argmin::isaSupported(isa)) {
+        state.SkipWithError("argmin variant not supported on this CPU");
+        return;
+    }
+    const core::argmin::ScopedIsa pin(isa);
+    state.SetLabel(core::argmin::isaName(isa));
+    assignSweepBench<DIM>(state, false, 1);
+}
+void BM_AssignSweep2D_Isa(benchmark::State& state) { assignSweepIsaBench<2>(state); }
+void BM_AssignSweep3D_Isa(benchmark::State& state) { assignSweepIsaBench<3>(state); }
+void isaArgs(benchmark::internal::Benchmark* b) {
+    for (const auto isa : core::argmin::kIsas) b->Args({1 << 17, static_cast<int>(isa)});
+    b->Repetitions(5)->ReportAggregatesOnly(true);
+}
+BENCHMARK(BM_AssignSweep2D_Isa)->Apply(isaArgs);
+BENCHMARK(BM_AssignSweep3D_Isa)->Apply(isaArgs);
 
 // Whole-algorithm before/after across the scenario grid the engine serves:
 // full vs sampled initialization, unit vs weighted points.

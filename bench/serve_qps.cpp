@@ -8,7 +8,9 @@
 //   * single   — Router::route(point): the low-latency path (one atomic
 //                shared_ptr load + one descent per query),
 //   * batched  — Router::route(span): the cache-blocked squared-domain
-//                kernel, fanned over the router's worker threads.
+//                argmin kernel (core/argmin_kernel, ISA dispatched at
+//                runtime; the JSON records which variant ran), fanned over
+//                the router's worker threads.
 // Every batched/single result is verified against the engine's partition
 // before timing (the serving exactness contract).
 //
@@ -25,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "core/argmin_kernel.hpp"
 #include "core/geographer.hpp"
 #include "serve/router.hpp"
 #include "serve/snapshot.hpp"
@@ -79,6 +82,7 @@ void writeJson(const std::string& path, std::int64_t n, const std::vector<Row>& 
     }
     out << "{\n  \"bench\": \"serve_qps\",\n  \"instance\": \"uniform2d\",\n"
         << "  \"n\": " << n << ",\n"
+        << "  \"isa\": \"" << core::argmin::isaName(core::argmin::activeIsa()) << "\",\n"
         << "  \"peak_rss_bytes\": " << geo::support::peakRssBytes() << ",\n"
         << "  \"batched_vs_naive_speedup_k64_t1\": " << speedup << ",\n"
         << "  \"rows\": [\n";
@@ -121,7 +125,8 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    std::cout << "=== Online routing QPS (uniform2d n=" << n << ") ===\n\n";
+    std::cout << "=== Online routing QPS (uniform2d n=" << n << ", argmin kernel "
+              << core::argmin::isaName(core::argmin::activeIsa()) << ") ===\n\n";
     Xoshiro256 rng(1234);
     std::vector<Point2> points(static_cast<std::size_t>(n));
     for (auto& p : points) {
@@ -183,35 +188,6 @@ int main(int argc, char** argv) {
                 std::cerr << "FAIL: single-point routing diverged from the partition\n";
                 return 1;
             }
-        }
-
-        // Compact fp32-center snapshot (single thread, one batch size): the
-        // guard re-resolves any lane fp32 could flip, so results must stay
-        // identical to the engine's partition — verified below like every
-        // other mode.
-        {
-            serve::SnapshotOptions compactOptions;
-            compactOptions.compactCenters = true;
-            const auto compactSnap =
-                serve::PartitionSnapshot<2>::fromResult(res, 1, 0, compactOptions);
-            serve::Router<2> router(1);
-            router.publish(compactSnap);
-            std::fill(routed.begin(), routed.end(), -1);
-            Timer timer;
-            for (std::int64_t lo = 0; lo < n; lo += 16384) {
-                const auto len = static_cast<std::size_t>(std::min<std::int64_t>(16384, n - lo));
-                router.route(std::span<const Point2>(points.data() + lo, len),
-                             std::span<std::int32_t>(routed.data() + lo, len));
-            }
-            addRow("compact", 1, 16384, timer.seconds());
-            if (routed != res.partition) {
-                std::cerr << "FAIL: compact fp32 routing diverged from the partition\n";
-                return 1;
-            }
-            // The router holds its own copy of the snapshot; read the
-            // fallback counter from the copy that actually served.
-            std::cout << "k=" << k << " compact fp32 fallbacks: "
-                      << router.snapshot()->compactFallbacks() << " / " << n << "\n";
         }
 
         // Batched path: batch size x thread count.

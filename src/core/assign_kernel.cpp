@@ -5,13 +5,9 @@
 #include <limits>
 #include <numeric>
 
+#include "core/argmin_kernel.hpp"
 #include "par/parallel_for.hpp"
 #include "support/assert.hpp"
-
-#if defined(__SSE2__)
-#define GEO_ASSIGN_SSE2 1
-#include <emmintrin.h>
-#endif
 
 namespace geo::core {
 
@@ -44,7 +40,6 @@ AssignEngine<D>::AssignEngine(std::span<const Point<D>> points,
     assignment_.assign(n, -1);
     ub_.assign(n, kInf);
     lb_.assign(n, 0.0);
-    epoch_.assign(n, 0);
     scratch_.resize(static_cast<std::size_t>(settings_.resolvedThreads()));
 }
 
@@ -83,14 +78,9 @@ void AssignEngine<D>::beginRound(std::span<const Point<D>> centers,
                 "need one center and one influence value per cluster");
     centers_ = centers;
     influence_ = influence;
-    if (!settings_.referenceAssignment) {
-        invInfluence2_.resize(static_cast<std::size_t>(k_));
-        for (std::int32_t c = 0; c < k_; ++c) {
-            const double inf = influence_[static_cast<std::size_t>(c)];
-            invInfluence2_[static_cast<std::size_t>(c)] = 1.0 / (inf * inf);
-        }
-    }
-    sortedCenters_.resize(static_cast<std::size_t>(k_));
+    const auto k = static_cast<std::size_t>(k_);
+    const auto inv2 = [&](std::size_t c) { return 1.0 / (influence_[c] * influence_[c]); };
+    sortedCenters_.resize(k);
     std::iota(sortedCenters_.begin(), sortedCenters_.end(), 0);
     // The stale-key guard: keys are valid only when computed *this round*
     // against *this round's* box. A round with an invalid box (e.g. no
@@ -98,22 +88,29 @@ void AssignEngine<D>::beginRound(std::span<const Point<D>> centers,
     // left over from an earlier round against the freshly reset identity
     // order would break the "remaining centers cannot win" argument and can
     // assign a point to the wrong cluster.
-    keysValid_ = false;
-    if (settings_.boundingBoxPruning && activeBox.valid()) {
-        centerKey_.resize(static_cast<std::size_t>(k_));
-        for (std::int32_t c = 0; c < k_; ++c) {
-            const auto ci = static_cast<std::size_t>(c);
-            centerKey_[ci] = settings_.referenceAssignment
-                                 ? activeBox.minDistance(centers_[ci]) / influence_[ci]
-                                 : activeBox.minSquaredDistance(centers_[ci]) *
-                                       invInfluence2_[ci];
-        }
+    keysValid_ = settings_.boundingBoxPruning && activeBox.valid();
+    if (keysValid_) {
+        centerKey_.resize(k);
+        for (std::size_t c = 0; c < k; ++c)
+            centerKey_[c] = settings_.referenceAssignment
+                                ? activeBox.minDistance(centers_[c]) / influence_[c]
+                                : activeBox.minSquaredDistance(centers_[c]) * inv2(c);
         std::sort(sortedCenters_.begin(), sortedCenters_.end(),
                   [&](std::int32_t a, std::int32_t b) {
                       return centerKey_[static_cast<std::size_t>(a)] <
                              centerKey_[static_cast<std::size_t>(b)];
                   });
-        keysValid_ = true;
+    }
+    if (!settings_.referenceAssignment && !settings_.useKdTree) {
+        for (auto& x : candX_) x.resize(k);
+        candInv_.resize(k);
+        candKey_.resize(keysValid_ ? k : 0);
+        for (std::size_t i = 0; i < k; ++i) {
+            const auto c = static_cast<std::size_t>(sortedCenters_[i]);
+            for (int d = 0; d < D; ++d) candX_[static_cast<std::size_t>(d)][i] = centers_[c][d];
+            candInv_[i] = inv2(c);
+            if (keysValid_) candKey_[i] = centerKey_[c];
+        }
     }
     if (settings_.useKdTree) tree_.rebuild(centers_, influence_);
 }
@@ -124,7 +121,10 @@ void AssignEngine<D>::sweep(std::span<double> localSizes) {
                 "localSizes must have one entry per cluster");
     std::fill(localSizes.begin(), localSizes.end(), 0.0);
     const std::size_t active = store_.activeCount();
-    if (active == 0) return;
+    if (active == 0) {
+        epochs_.clear();
+        return;
+    }
     GEO_CHECK(!centers_.empty(), "beginRound must precede sweep");
 
     const auto stride = static_cast<std::size_t>(k_);
@@ -152,6 +152,9 @@ void AssignEngine<D>::sweep(std::span<double> localSizes) {
             for (std::size_t c = 0; c < stride; ++c)
                 localSizes[c] += blockSizes_[b * stride + c];
     }
+    // Every active slot is current now: assigned slots replayed the log,
+    // the rest were materialized against this round.
+    epochs_.clear();
     // Counter merges are integer sums — order-independent.
     for (auto& scratch : scratch_) {
         counters_.merge(scratch.counters);
@@ -211,6 +214,8 @@ void AssignEngine<D>::processBlock(const typename PointStore<D>::WaveView& wave,
     if (scratch.slot.size() < kAssignBlock) {
         scratch.slot.resize(kAssignBlock);
         for (auto& g : scratch.gx) g.resize(kAssignBlock);
+        scratch.best.resize(kAssignBlock);
+        scratch.second.resize(kAssignBlock);
     }
 
     // The per-slot state runs in lockstep with the wave's tile arrays:
@@ -239,7 +244,6 @@ void AssignEngine<D>::processBlock(const typename PointStore<D>::WaveView& wave,
         for (std::size_t j = 0; j < lanes; ++j)
             assignPointReference(scratch.slot[j], lanePoint(scratch, j), scratch.counters);
     } else if (settings_.useKdTree) {
-        const std::uint32_t cur = currentEpoch();
         for (std::size_t j = 0; j < lanes; ++j) {
             const std::size_t slot = scratch.slot[j];
             const Point<D> pt = lanePoint(scratch, j);
@@ -253,7 +257,6 @@ void AssignEngine<D>::processBlock(const typename PointStore<D>::WaveView& wave,
             } else {
                 lb_[slot] = kInf;
             }
-            epoch_[slot] = cur;
         }
     } else if (lanes > 0) {
         batchKernel(scratch, lanes);
@@ -274,156 +277,45 @@ Point<D> AssignEngine<D>::lanePoint(const Scratch& scratch, std::size_t j) const
     return pt;
 }
 
-namespace {
-/// How many sorted centers the batch kernel scans between lane-retirement
-/// passes. A lane (point) is finished as soon as the next center's pruning
-/// key exceeds its second-best — the per-point break of the scalar path —
-/// so the interval only bounds how many extra candidates a finished lane
-/// may see before it is compacted away.
-constexpr std::size_t kRetireInterval = 4;
-}  // namespace
-
-/// Centers-outer, lanes-inner squared-domain scan over one gathered block.
-/// The inner loop does unconditional loads/stores with ternary selects (no
-/// control flow) so -O3 can if-convert and vectorize it; center ids travel
-/// as doubles so every lane of the select has one vector width. Lanes whose
-/// per-point pruning break has fired are materialized and compacted out
-/// every kRetireInterval centers, keeping the live lanes contiguous.
+/// One gathered block through the shared argmin kernel (centers in key
+/// order, tile-level bbox break), then materialize every lane: recompute
+/// the Hamerly bounds with the exact scalar expression of the reference
+/// path, so ub/lb agree bitwise across modes (the only sqrts on the fast
+/// path — at most two per assigned point).
 template <int D>
 void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
-    scratch.best2.assign(m, kInf);
-    scratch.second2.assign(m, kInf);
-    scratch.bestC.assign(m, -1.0);
-    scratch.secondC.assign(m, -1.0);
-    const std::uint32_t cur = currentEpoch();
+    argmin::Lanes<D> lanes;
+    argmin::Candidates<D> cand;
+    for (std::size_t d = 0; d < static_cast<std::size_t>(D); ++d) {
+        lanes.x[d] = scratch.gx[d].data();
+        cand.cx[d] = candX_[d].data();
+    }
+    lanes.count = m;
+    cand.invInfluence2 = candInv_.data();
+    cand.key = keysValid_ ? candKey_.data() : nullptr;
+    cand.count = candInv_.size();
+    const auto stats =
+        argmin::nearest<D>(lanes, cand, {scratch.best.data(), scratch.second.data()});
+    scratch.counters.distanceCalcs += stats.distances;
+    scratch.counters.batchedDistanceCalcs += stats.distances;
+    scratch.counters.bboxBreaks += stats.breaks;
 
-    // Materialize one lane: recompute the Hamerly bounds with the exact
-    // scalar expression of the reference path, so ub/lb agree bitwise
-    // across modes (the only sqrts on the fast path — at most two per
-    // assigned point).
-    const auto materialize = [&](std::size_t j) {
+    for (std::size_t j = 0; j < m; ++j) {
         const std::size_t slot = scratch.slot[j];
         const Point<D> pt = lanePoint(scratch, j);
-        const auto bc = static_cast<std::int32_t>(scratch.bestC[j]);
-        GEO_CHECK(bc >= 0, "assignment found no center");
-        assignment_[slot] = bc;
-        ub_[slot] = distance(pt, centers_[static_cast<std::size_t>(bc)]) /
-                    influence_[static_cast<std::size_t>(bc)];
-        const auto sc = static_cast<std::int32_t>(scratch.secondC[j]);
-        lb_[slot] = sc >= 0
-                        ? distance(pt, centers_[static_cast<std::size_t>(sc)]) /
-                              influence_[static_cast<std::size_t>(sc)]
-                        : kInf;
-        epoch_[slot] = cur;
-    };
-
-    std::size_t live = m;
-    const std::size_t kCount = sortedCenters_.size();
-    for (std::size_t ci = 0; ci < kCount && live > 0; ++ci) {
-        const std::int32_t c = sortedCenters_[ci];
-        std::array<double, static_cast<std::size_t>(D)> cx;
-        for (int d = 0; d < D; ++d)
-            cx[static_cast<std::size_t>(d)] = centers_[static_cast<std::size_t>(c)][d];
-        const double inv = invInfluence2_[static_cast<std::size_t>(c)];
-        const auto cd = static_cast<double>(c);
-
-        double* __restrict best2 = scratch.best2.data();
-        double* __restrict second2 = scratch.second2.data();
-        double* __restrict bestC = scratch.bestC.data();
-        double* __restrict secondC = scratch.secondC.data();
-        std::array<const double*, static_cast<std::size_t>(D)> gx;
-        for (int d = 0; d < D; ++d)
-            gx[static_cast<std::size_t>(d)] =
-                scratch.gx[static_cast<std::size_t>(d)].data();
-        // Branchless best/second update per lane: the value lanes are pure
-        // min/max (second' = min(os, max(e2, ob))), the id lanes flat
-        // selects. The SSE2 body below is this exact computation two lanes
-        // at a time (minpd/maxpd + compare-mask selects); the tie behaviour
-        // of minpd/maxpd only ever picks between bitwise-equal values, so
-        // both bodies match the scalar reference's strict-< logic exactly.
-        const auto scalarLanes = [&](std::size_t from, std::size_t to) {
-            for (std::size_t j = from; j < to; ++j) {
-                double d2 = 0.0;
-                for (int d = 0; d < D; ++d) {
-                    const double diff = gx[static_cast<std::size_t>(d)][j] -
-                                        cx[static_cast<std::size_t>(d)];
-                    d2 += diff * diff;
-                }
-                const double e2 = d2 * inv;
-                const double ob = best2[j], os = second2[j];
-                const double obc = bestC[j], osc = secondC[j];
-                best2[j] = std::min(e2, ob);
-                second2[j] = std::min(os, std::max(e2, ob));
-                const double demoted = e2 < os ? cd : osc;
-                bestC[j] = e2 < ob ? cd : obc;
-                secondC[j] = e2 < ob ? obc : demoted;
-            }
-        };
-#if GEO_ASSIGN_SSE2
-        const __m128d cdv = _mm_set1_pd(cd);
-        const __m128d invv = _mm_set1_pd(inv);
-        std::size_t j = 0;
-        for (; j + 2 <= live; j += 2) {
-            __m128d d2 = _mm_setzero_pd();
-            for (int d = 0; d < D; ++d) {
-                const __m128d diff =
-                    _mm_sub_pd(_mm_loadu_pd(gx[static_cast<std::size_t>(d)] + j),
-                               _mm_set1_pd(cx[static_cast<std::size_t>(d)]));
-                d2 = _mm_add_pd(d2, _mm_mul_pd(diff, diff));
-            }
-            const __m128d e2 = _mm_mul_pd(d2, invv);
-            const __m128d ob = _mm_loadu_pd(best2 + j);
-            const __m128d os = _mm_loadu_pd(second2 + j);
-            const __m128d obc = _mm_loadu_pd(bestC + j);
-            const __m128d osc = _mm_loadu_pd(secondC + j);
-            const __m128d mb = _mm_cmplt_pd(e2, ob);
-            const __m128d ms = _mm_cmplt_pd(e2, os);
-            _mm_storeu_pd(best2 + j, _mm_min_pd(e2, ob));
-            _mm_storeu_pd(second2 + j, _mm_min_pd(os, _mm_max_pd(e2, ob)));
-            const __m128d demoted =
-                _mm_or_pd(_mm_and_pd(ms, cdv), _mm_andnot_pd(ms, osc));
-            _mm_storeu_pd(bestC + j,
-                          _mm_or_pd(_mm_and_pd(mb, cdv), _mm_andnot_pd(mb, obc)));
-            _mm_storeu_pd(secondC + j,
-                          _mm_or_pd(_mm_and_pd(mb, obc), _mm_andnot_pd(mb, demoted)));
-        }
-        scalarLanes(j, live);
-#else
-        scalarLanes(0, live);
-#endif
-        scratch.counters.distanceCalcs += live;
-        scratch.counters.batchedDistanceCalcs += live;
-
-        // Retire finished lanes. Keys are sorted ascending, so once
-        // key[next] > second2[lane] holds, every remaining center fails the
-        // scalar path's break test for that lane: its best/second are final.
-        if (keysValid_ && ci + 1 < kCount &&
-            ((ci % kRetireInterval) == kRetireInterval - 1 || ci + 2 == kCount)) {
-            const double nextKey =
-                centerKey_[static_cast<std::size_t>(sortedCenters_[ci + 1])];
-            std::size_t w = 0;
-            for (std::size_t j = 0; j < live; ++j) {
-                if (nextKey > scratch.second2[j]) {
-                    scratch.counters.bboxBreaks++;
-                    materialize(j);
-                    continue;
-                }
-                if (w != j) {
-                    scratch.slot[w] = scratch.slot[j];
-                    for (int d = 0; d < D; ++d)
-                        scratch.gx[static_cast<std::size_t>(d)][w] =
-                            scratch.gx[static_cast<std::size_t>(d)][j];
-                    scratch.best2[w] = scratch.best2[j];
-                    scratch.second2[w] = scratch.second2[j];
-                    scratch.bestC[w] = scratch.bestC[j];
-                    scratch.secondC[w] = scratch.secondC[j];
-                }
-                ++w;
-            }
-            live = w;
+        GEO_CHECK(scratch.best[j] >= 0, "assignment found no center");
+        const auto bc = static_cast<std::size_t>(
+            sortedCenters_[static_cast<std::size_t>(scratch.best[j])]);
+        assignment_[slot] = static_cast<std::int32_t>(bc);
+        ub_[slot] = distance(pt, centers_[bc]) / influence_[bc];
+        if (scratch.second[j] >= 0) {
+            const auto sc = static_cast<std::size_t>(
+                sortedCenters_[static_cast<std::size_t>(scratch.second[j])]);
+            lb_[slot] = distance(pt, centers_[sc]) / influence_[sc];
+        } else {
+            lb_[slot] = kInf;
         }
     }
-    for (std::size_t j = 0; j < live; ++j) materialize(j);
 }
 
 /// The seed implementation's inner loop, verbatim: per-candidate sqrt in
@@ -431,13 +323,11 @@ void AssignEngine<D>::batchKernel(Scratch& scratch, std::size_t m) {
 template <int D>
 void AssignEngine<D>::assignPointReference(std::size_t slot, const Point<D>& pt,
                                            KMeansCounters& counters) {
-    const std::uint32_t cur = currentEpoch();
     if (settings_.useKdTree) {
         const auto q = tree_.query(pt);
         assignment_[slot] = q.best;
         ub_[slot] = q.bestDistance;
         lb_[slot] = q.secondDistance;
-        epoch_[slot] = cur;
         return;
     }
     double best = kInf, second = kInf;
@@ -463,19 +353,15 @@ void AssignEngine<D>::assignPointReference(std::size_t slot, const Point<D>& pt,
     assignment_[slot] = bestC;
     ub_[slot] = best;
     lb_[slot] = second;
-    epoch_[slot] = cur;
 }
 
 template <int D>
 void AssignEngine<D>::applyEpochs(std::size_t slot, KMeansCounters& counters) {
-    const std::uint32_t cur = currentEpoch();
-    std::uint32_t e = epoch_[slot];
-    if (e == cur) return;
+    if (epochs_.empty()) return;
     const auto c = static_cast<std::size_t>(assignment_[slot]);
     double ub = ub_[slot], lb = lb_[slot];
-    counters.epochBoundApplications += cur - e;
-    for (; e < cur; ++e) {
-        const Epoch& ep = epochs_[e];
+    counters.epochBoundApplications += epochs_.size();
+    for (const Epoch& ep : epochs_) {
         if (ep.move) {
             ub = ub * ep.ratio[c] + ep.shift[c];
             lb = std::max(0.0, lb * ep.minRatio - ep.maxShift);
@@ -486,7 +372,6 @@ void AssignEngine<D>::applyEpochs(std::size_t slot, KMeansCounters& counters) {
     }
     ub_[slot] = ub;
     lb_[slot] = lb;
-    epoch_[slot] = cur;
 }
 
 template <int D>
@@ -521,10 +406,8 @@ template <int D>
 void AssignEngine<D>::resetBounds() {
     std::fill(ub_.begin(), ub_.end(), kInf);
     std::fill(lb_.begin(), lb_.end(), 0.0);
-    // Every point is now current, so no logged epoch can ever be replayed
-    // again — drop the log instead of retaining O(rounds · k) dead state.
+    // The reset bounds are current, so no logged epoch may be replayed.
     epochs_.clear();
-    std::fill(epoch_.begin(), epoch_.end(), 0u);
 }
 
 template class AssignEngine<2>;

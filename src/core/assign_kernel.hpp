@@ -16,15 +16,19 @@
 //   2. Lazy epoch-based bounds. Influence adaptation and center movement no
 //      longer sweep all n points to relax ub/lb; they append one epoch
 //      (per-cluster ratio/shift + the min-ratio/max-shift scalars) to a log,
-//      and a point replays the epochs it missed when it is next touched.
-//      Each balance round costs O(active points) instead of O(n) — the big
-//      win for sampled initialization and warm-started repartitioning.
+//      and a point replays the log when it is next touched. Every sweep
+//      brings every active slot current (assigned slots replay, the rest
+//      are materialized), so all assigned slots always lag by the same
+//      epochs — the log holds exactly the epochs since the last sweep and
+//      is cleared at its end; no per-point epoch stamp is needed. Each
+//      balance round costs O(active points) instead of O(n) — the big win
+//      for sampled initialization and warm-started repartitioning.
 //      Sequential replay applies the identical multiply/add per round the
 //      eager sweeps performed, so bound values are bitwise unchanged.
 //   3. Slot-ordered state over a budgeted SoA mirror (core::PointStore) +
 //      cache-blocked batch kernel. The sampling order is fixed at
 //      construction and the active set is always a growing prefix of it,
-//      so every per-point array (assignment, ub, lb, epoch) is indexed by
+//      so every per-point array (assignment, ub, lb) is indexed by
 //      *slot* — the position in that order — not by point id. The skip
 //      test, the per-block sizes and the center update stream contiguous
 //      arrays in lockstep with the store's tiles; only assignment()
@@ -36,11 +40,12 @@
 //      waves of fixed 1024-point tiles, regenerated from the caller's
 //      points on every pass. The sweep walks the waves in order, each
 //      wave's fixed 1024-point blocks in parallel, gathers the not-skipped
-//      slots of each block into contiguous scratch, and runs an
-//      auto-vectorizable centers-outer / points-inner kernel with
-//      branchless best/second tracking; ub/lb are materialized from the
-//      gathered lane coordinates. Weighted cluster sizes are accumulated
-//      per block and reduced in block order.
+//      slots of each block into contiguous scratch, and hands them to the
+//      shared weighted-Voronoi argmin kernel (core/argmin_kernel: register
+//      tiles, tile-level bbox break, runtime ISA dispatch) over the centers
+//      in pruning-key order; ub/lb are materialized from the gathered lane
+//      coordinates. Weighted cluster sizes are accumulated per block and
+//      reduced in block order.
 //   4. Intra-rank threading (Settings::threads; the old name assignThreads
 //      survives as a deprecated alias) via par::parallelFor over whole
 //      blocks. Because block (and wave) boundaries are fixed and the block
@@ -121,7 +126,7 @@ public:
     /// eroded (ratio = I/I'): Eq. 4–5 relaxation, O(k), applied lazily.
     void pushMoveEpoch(std::span<const double> ratio, std::span<const double> shift);
 
-    /// Forget all bounds (ub = ∞, lb = 0) and mark every point current.
+    /// Forget all bounds (ub = ∞, lb = 0) and drop the epoch log.
     void resetBounds();
 
     /// Cluster per point id (-1 while never active): the slot-ordered state
@@ -139,13 +144,12 @@ private:
         bool move = false;
     };
 
-    /// Per-worker scratch: gathered coordinates + kernel state. Center ids
-    /// are tracked as doubles inside the batch kernel so every lane of the
-    /// select has one width (vectorizer-friendly); materialization narrows.
+    /// Per-worker scratch: gathered coordinates + the argmin kernel's
+    /// per-lane best/second candidates (positions in the key order).
     struct Scratch {
         std::vector<std::size_t> slot;  ///< active slot per gathered lane
         std::array<std::vector<double>, static_cast<std::size_t>(D)> gx;
-        std::vector<double> best2, second2, bestC, secondC;
+        std::vector<std::int32_t> best, second;
         KMeansCounters counters;
     };
 
@@ -157,9 +161,6 @@ private:
     void assignPointReference(std::size_t slot, const Point<D>& pt,
                               KMeansCounters& counters);
     void applyEpochs(std::size_t slot, KMeansCounters& counters);
-    [[nodiscard]] std::uint32_t currentEpoch() const noexcept {
-        return static_cast<std::uint32_t>(epochs_.size());
-    }
 
     const Settings& settings_;
     std::int32_t k_;
@@ -167,8 +168,7 @@ private:
     // Persistent per-point state, indexed by active slot (order position).
     std::vector<std::int32_t> assignment_;
     std::vector<double> ub_, lb_;
-    std::vector<std::uint32_t> epoch_;
-    std::vector<Epoch> epochs_;
+    std::vector<Epoch> epochs_;  ///< pushed since the last sweep
 
     // Budgeted active-set mirror: the shared tiled point representation
     // (coords + weights in fixed tiles, the slot order, bounding box).
@@ -177,10 +177,13 @@ private:
     // Round state.
     std::span<const Point<D>> centers_;
     std::span<const double> influence_;
-    std::vector<double> invInfluence2_;
     std::vector<std::int32_t> sortedCenters_;
     std::vector<double> centerKey_;
     bool keysValid_ = false;  ///< pruning keys were computed this round
+    /// The centers in sortedCenters_ order, SoA, for the argmin kernel
+    /// (keys ascending; the key array is handed over only when keysValid_).
+    std::array<std::vector<double>, static_cast<std::size_t>(D)> candX_;
+    std::vector<double> candInv_, candKey_;
     CenterKdTree<D> tree_;
 
     std::vector<double> blockSizes_;  ///< per-block weighted cluster sizes

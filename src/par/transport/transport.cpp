@@ -60,9 +60,9 @@ int defaultConnectTimeoutMs() noexcept {
 TransportKind parseTransportKind(std::string_view name) {
     if (name == "sim") return TransportKind::Sim;
     if (name == "socket") return TransportKind::Socket;
-    if (name == "tcp") return TransportKind::Tcp;
-    GEO_REQUIRE(false, "unknown transport '" + std::string(name) +
-                           "' (use sim, socket, or tcp)");
+    GEO_REQUIRE(name == "tcp", "unknown transport '" + std::string(name) +
+                                   "' (use sim, socket, or tcp)");
+    return TransportKind::Tcp;
 }
 
 const char* transportKindName(TransportKind kind) noexcept {

@@ -228,6 +228,34 @@ TEST(AssignEngine, LazyEpochBoundsSkipButNeverMisassign) {
     EXPECT_LE(engine.counters().epochBoundApplications, 3u * points.size());
 }
 
+TEST(AssignEngine, EpochLogReplaysOncePerAssignedSlotPerSweep) {
+    // Every sweep brings every active slot current, so the epochs pushed
+    // between two sweeps are replayed exactly once by each slot that was
+    // already assigned — newly active slots are materialized instead.
+    const auto points = randomPoints<2>(3000, 283);
+    const auto centers = randomPoints<2>(8, 285);
+    const std::vector<double> influence(8, 1.0);
+    const std::vector<double> ratio(8, 1.0), shift(8, 0.0);
+    Settings s;
+    AssignEngine<2> engine(points, {}, shuffledOrder(points.size(), 287), s, 8);
+    std::vector<double> sizes(8, 0.0);
+    const auto sweepAt = [&](std::size_t active) {
+        engine.setActive(active);
+        engine.beginRound(centers, influence, engine.activeBox());
+        engine.sweep(sizes);
+        return engine.counters().epochBoundApplications;
+    };
+    EXPECT_EQ(sweepAt(1000), 0u);
+    for (int i = 0; i < 3; ++i) engine.pushInfluenceEpoch(ratio);
+    EXPECT_EQ(sweepAt(2000), 3u * 1000);          // only the 1000 assigned slots
+    EXPECT_EQ(sweepAt(2000), 3u * 1000);          // nothing pushed since
+    engine.pushMoveEpoch(ratio, shift);
+    EXPECT_EQ(sweepAt(3000), 3u * 1000 + 2000);   // one epoch × 2000 assigned
+    engine.pushInfluenceEpoch(ratio);
+    engine.resetBounds();                         // drops the pending epoch
+    EXPECT_EQ(sweepAt(3000), 3u * 1000 + 2000);
+}
+
 TEST(AssignEngine, MoveEpochKeepsBoundsConservative) {
     const auto points = randomPoints<2>(4000, 241);
     auto centers = randomPoints<2>(10, 251);

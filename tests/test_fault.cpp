@@ -640,8 +640,11 @@ TEST(Chaos, KillMidAlltoallvIsTypedNotSigpipe) {
 }
 
 TEST(Chaos, DroppedPeerSurfacesAsDeadlineTimeout) {
-    // drop wedges rank 1 without closing its sockets: survivors see
-    // silence, not EOF, and must hit the 750 ms inactivity deadline.
+    // drop wedges rank 1 without closing its sockets: rank 0, the
+    // allreduce root, waits on it directly and must hit the 750 ms
+    // inactivity deadline. Rank 2 waits on rank 0 for the broadcast, not
+    // on the wedge, so it times out too unless rank 0's exit (EOF) reaches
+    // it first — both outcomes are typed, and which one wins is a race.
     const double deadlineMs = 750.0;
     const auto run = runMesh(
         "chaos-allreduce", 3, 3,
@@ -649,9 +652,25 @@ TEST(Chaos, DroppedPeerSurfacesAsDeadlineTimeout) {
          {"GEO_COMM_TIMEOUT_MS", "750"}},
         /*deadlineSeconds=*/60.0, /*reapAfterExits=*/2);
     EXPECT_EQ(run.status[0], kExitTimeout);
-    EXPECT_EQ(run.status[2], kExitTimeout);
+    EXPECT_TRUE(run.status[2] == kExitTimeout || run.status[2] == kExitPeerClosed)
+        << "rank 2 exited " << run.status[2];
     EXPECT_EQ(run.status[1], 128 + SIGKILL);  // the harness reaped the wedge
     // "Within 2× the deadline" plus mesh setup/exec slack on a loaded box.
+    EXPECT_LT(run.elapsedSeconds, 2.0 * deadlineMs / 1000.0 + 15.0);
+}
+
+TEST(Chaos, DroppedRootSurfacesAsDeadlineTimeoutOnEverySurvivor) {
+    // drop wedges rank 0, the allreduce root: both survivors wait on it
+    // directly for the broadcast, so each must report the deadline itself.
+    const double deadlineMs = 750.0;
+    const auto run = runMesh(
+        "chaos-allreduce", 3, 3,
+        {{"GEO_FAULT", "drop:rank=0:op=allreduce"},
+         {"GEO_COMM_TIMEOUT_MS", "750"}},
+        /*deadlineSeconds=*/60.0, /*reapAfterExits=*/2);
+    EXPECT_EQ(run.status[1], kExitTimeout);
+    EXPECT_EQ(run.status[2], kExitTimeout);
+    EXPECT_EQ(run.status[0], 128 + SIGKILL);  // the harness reaped the wedge
     EXPECT_LT(run.elapsedSeconds, 2.0 * deadlineMs / 1000.0 + 15.0);
 }
 

@@ -337,6 +337,9 @@ TEST(ServeRouter, ConcurrentReadersObserveOnlyCompleteSnapshots) {
         });
     }
 
+    // Start publishing only once the readers are live: on a loaded host the
+    // 400 publishes can otherwise finish before any reader is scheduled.
+    while (reads.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
     constexpr std::uint64_t kPublishes = 400;
     for (std::uint64_t v = 2; v <= kPublishes; ++v) {
         router.publish(makeSnapshot(v));
@@ -411,47 +414,15 @@ TEST(ServeSnapshot, FromStateServesCarriedWarmStartState) {
     }
 }
 
-TEST(ServeSnapshot, CompactCentersRouteIdenticallyToFp64) {
-    const auto mesh = geo::gen::delaunay2d(6000, 251);
-    const auto weights = fractionalWeights(mesh.points.size(), 252);
-    const std::int32_t k = 24;
-    Settings settings;
-    const auto res =
-        geo::core::partitionGeographer<2>(mesh.points, weights, k, 1, settings);
-
-    SnapshotOptions compactOptions;
-    compactOptions.compactCenters = true;
-    const auto compact = PartitionSnapshot<2>::fromResult(res, 1, 0, compactOptions);
-    EXPECT_TRUE(compact.usesCompactCenters());
-    EXPECT_FALSE(compact.usesKdTree());
-
-    // The exactness guard's whole point: routes equal the fp64 path (and
-    // hence the run's own partition) bit for bit, fallbacks or not.
-    expectRoutesMatch<2>(compact, mesh.points, res.partition, "compact2d");
-
-    // Compact overrides the kd-tree even past its threshold — the hot path
-    // must stay the guarded fp32 scan.
-    SnapshotOptions both;
-    both.compactCenters = true;
-    both.kdTreeFromK = 1;
-    const auto compactOverTree = PartitionSnapshot<2>::fromResult(res, 1, 0, both);
-    EXPECT_TRUE(compactOverTree.usesCompactCenters());
-    EXPECT_FALSE(compactOverTree.usesKdTree());
-    expectRoutesMatch<2>(compactOverTree, mesh.points, res.partition, "compact>tree");
-}
-
-TEST(ServeSnapshot, CompactGuardCatchesNearTiesAndDuplicates) {
-    // Two duplicated centers plus one distinct: every query near the
-    // duplicates produces an exact fp32 tie, which must fall back to the
-    // fp64 scan and resolve to the LOWER id — the fp64 tie rule.
+TEST(ServeSnapshot, BatchedRouteBreaksTiesAndDuplicatesToLowestId) {
+    // Two duplicated centers plus one distinct: every query nearer the
+    // duplicates is an exact tie, and queries on the bisector x = 0.5 tie
+    // the distinct pair. The batched kernel must resolve all of them like
+    // the single-point scan: to the LOWEST id.
     const std::vector<Point2> centers{Point2{{0.25, 0.5}}, Point2{{0.25, 0.5}},
                                       Point2{{0.75, 0.5}}};
     const std::vector<double> influence(3, 1.0);
-    SnapshotOptions options;
-    options.compactCenters = true;
-    const auto compact = PartitionSnapshot<2>::fromCenters(
-        std::span<const Point2>(centers), influence, 1, 0, options);
-    const auto exact = PartitionSnapshot<2>::fromCenters(
+    const auto snap = PartitionSnapshot<2>::fromCenters(
         std::span<const Point2>(centers), influence, 1, 0, {});
 
     Xoshiro256 rng(257);
@@ -460,64 +431,16 @@ TEST(ServeSnapshot, CompactGuardCatchesNearTiesAndDuplicates) {
         q[0] = rng.uniform();
         q[1] = rng.uniform();
     }
-    // Points squarely on the bisector x = 0.5 between distinct centers too.
     for (int i = 0; i < 64; ++i)
         queries.push_back(Point2{{0.5, static_cast<double>(i) / 64.0}});
 
-    std::vector<std::int32_t> gotCompact(queries.size(), -1);
-    std::vector<std::int32_t> gotExact(queries.size(), -2);
-    compact.blockOf(queries, gotCompact);
-    exact.blockOf(queries, gotExact);
-    EXPECT_EQ(gotCompact, gotExact);
-    for (const auto b : gotCompact) EXPECT_NE(b, 1);  // ties -> lowest id
-    // Duplicate centers tie in fp32 for every left-half query; the guard
-    // must have routed plenty of lanes through the fp64 fallback.
-    EXPECT_GT(compact.compactFallbacks(), 0u);
-}
-
-TEST(ServeSnapshot, CompactRebuildsOnLoadAndStaysExact) {
-    const auto mesh = geo::gen::delaunay2d(3000, 263);
-    Settings settings;
-    const auto res = geo::core::partitionGeographer<2>(mesh.points, {}, 16, 1, settings);
-    const auto snap = PartitionSnapshot<2>::fromResult(res, 3);
-
-    // The on-disk format carries fp64 only; load() with compact options
-    // rebuilds the fp32 mirrors in finalize.
-    std::stringstream stream(std::ios::in | std::ios::out | std::ios::binary);
-    snap.save(stream);
-    SnapshotOptions options;
-    options.compactCenters = true;
-    const auto loaded = PartitionSnapshot<2>::load(stream, options);
-    EXPECT_TRUE(loaded.usesCompactCenters());
-    expectRoutesMatch<2>(loaded, mesh.points, res.partition, "loaded compact");
-}
-
-TEST(ServeSnapshot, CompactIgnoredForHierarchicalSnapshots) {
-    const auto mesh = geo::gen::delaunay2d(2000, 269);
-    Settings settings;
-    const auto topo =
-        geo::hier::Topology::fromBranching(std::array<std::int32_t, 2>{2, 3});
-    const auto hres =
-        geo::hier::partitionHierarchical<2>(mesh.points, {}, topo, 1, settings);
-    SnapshotOptions options;
-    options.compactCenters = true;
-    const auto hsnap = PartitionSnapshot<2>::fromHierResult(hres, topo, 1, 0, options);
-    EXPECT_FALSE(hsnap.usesCompactCenters());
-    expectRoutesMatch<2>(hsnap, mesh.points, hres.partition, "hier compact-off");
-}
-
-TEST(ServeSnapshot, CompactCenters3d) {
-    Xoshiro256 rng(271);
-    std::vector<Point3> points(3000);
-    for (auto& p : points)
-        for (int d = 0; d < 3; ++d) p[d] = rng.uniform();
-    Settings settings;
-    const auto res = geo::core::partitionGeographer<3>(points, {}, 10, 1, settings);
-    SnapshotOptions options;
-    options.compactCenters = true;
-    const auto compact = PartitionSnapshot<3>::fromResult(res, 1, 0, options);
-    EXPECT_TRUE(compact.usesCompactCenters());
-    expectRoutesMatch<3>(compact, points, res.partition, "compact3d");
+    std::vector<std::int32_t> batched(queries.size(), -1);
+    snap.blockOf(queries, batched);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+        ASSERT_EQ(batched[i], snap.blockOf(queries[i])) << "query " << i;
+        ASSERT_NE(batched[i], 1) << "query " << i;  // ties -> lowest id
+        if (queries[i][0] <= 0.5) ASSERT_EQ(batched[i], 0) << "query " << i;
+    }
 }
 
 }  // namespace
